@@ -16,10 +16,12 @@ from typing import List
 from repro import costs
 from repro.cpu.events import CoFIKind
 from repro.ipt.full_decoder import FlowEdge
+from repro.isa.encoding import instruction_length
+from repro.isa.instructions import Op
 
-# Encoded lengths of the two call instructions (opcode + operands).
-_DIRECT_CALL_LEN = 5
-_INDIRECT_CALL_LEN = 2
+# A call's return site is the instruction after it.
+_DIRECT_CALL_LEN = instruction_length(Op.CALL)
+_INDIRECT_CALL_LEN = instruction_length(Op.CALLR)
 
 
 class ShadowStackViolation(Exception):
@@ -38,6 +40,11 @@ class ShadowStackViolation(Exception):
 @dataclass
 class ShadowStack:
     """Replays call/return discipline over reconstructed flow edges."""
+
+    #: the edge kinds :meth:`feed` acts on; it ignores every other kind.
+    KINDS = frozenset(
+        {CoFIKind.DIRECT_CALL, CoFIKind.INDIRECT_CALL, CoFIKind.RET}
+    )
 
     _stack: List[int] = field(default_factory=list)
     cycles: float = 0.0

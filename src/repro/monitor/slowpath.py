@@ -27,6 +27,10 @@ from repro.ipt.full_decoder import FullDecoder, TraceMismatch
 from repro.ipt.packets import DecodedPacket
 from repro.monitor.shadowstack import ShadowStack, ShadowStackViolation
 
+_INDIRECT_CALL = CoFIKind.INDIRECT_CALL
+_INDIRECT_JMP = CoFIKind.INDIRECT_JMP
+_RET = CoFIKind.RET
+
 
 @dataclass
 class SlowPathResult:
@@ -75,17 +79,33 @@ class SlowPathEngine:
                 cycles=cycles,
             )
         cycles += decoded.cycles
+        if not decoded.exhausted:
+            # The walk stopped on its instruction budget with packets
+            # still unread: the rest of the window was never checked,
+            # so nothing in it may be confirmed clean.
+            return SlowPathResult(
+                ok=False,
+                reason=(
+                    f"decoder desync: instruction budget of "
+                    f"{decoded.insn_count} instructions ran out at "
+                    f"{decoded.end_ip:#x} before the packet stream did"
+                ),
+                cycles=cycles,
+                insns_decoded=decoded.insn_count,
+            )
 
         shadow = ShadowStack()
+        indirect_targets = self.ocfg.indirect_targets
         for edge in decoded.edges:
+            kind = edge.kind
             # Forward edges: fine-grained TypeArmor target sets.
-            if edge.kind in (CoFIKind.INDIRECT_CALL, CoFIKind.INDIRECT_JMP):
-                allowed = self.ocfg.indirect_targets.get(edge.src)
+            if kind is _INDIRECT_CALL or kind is _INDIRECT_JMP:
+                allowed = indirect_targets.get(edge.src)
                 if allowed is None or edge.dst not in allowed:
                     return SlowPathResult(
                         ok=False,
                         reason=(
-                            f"forward-edge violation: {edge.kind.value} at "
+                            f"forward-edge violation: {kind.value} at "
                             f"{edge.src:#x} -> {edge.dst:#x}"
                         ),
                         violation_addr=edge.src,
@@ -96,8 +116,8 @@ class SlowPathEngine:
             # Backward edges: shadow stack; returns that outrun the
             # window's reconstructed stack fall back to the conservative
             # call/return-matched O-CFG target sets.
-            if edge.kind is CoFIKind.RET and shadow.depth == 0:
-                allowed = self.ocfg.indirect_targets.get(edge.src)
+            elif kind is _RET and shadow.depth == 0:
+                allowed = indirect_targets.get(edge.src)
                 if allowed and edge.dst not in allowed:
                     return SlowPathResult(
                         ok=False,
@@ -111,6 +131,10 @@ class SlowPathEngine:
                         insns_decoded=decoded.insn_count,
                         shadow_cycles=shadow.cycles,
                     )
+            # Only calls and returns reach the shadow stack; every other
+            # kind is a no-op there.
+            if kind not in ShadowStack.KINDS:
+                continue
             try:
                 shadow.feed(edge)
             except ShadowStackViolation as exc:
